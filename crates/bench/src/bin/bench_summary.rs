@@ -2,29 +2,28 @@
 //! all five execution modes and writes a machine-readable JSON summary
 //! (default `BENCH_PR6.json`).
 //!
-//! By default each (program, mode) cell is measured under four interpreter
+//! By default each (program, mode) cell is measured under three interpreter
 //! configurations, interleaved sample-by-sample so host throughput drift
 //! cancels out of the A/B comparison:
 //!
-//! * `match_hand`    — PR 1 baseline: match-dispatch loop, hand fusion set
-//! * `threaded_full` — PR 2 loop: direct-threaded dispatch, full fusion table
-//! * `register`      — PR 3 engine: register-translated code (the translation
-//!   subsumes stack-shuffle fusion, so its fusion setting is moot)
-//! * `register_fused` — PR 4 engine: cross-block register translation with
-//!   the profile-selected superinstruction set re-fused over the register
+//! * `match_hand`    — match-dispatch loop, hand fusion set
+//! * `threaded_full` — direct-threaded dispatch, full fusion table
+//! * `register_fused` — cross-block register translation with the
+//!   profile-selected superinstruction set re-fused over the register
 //!   stream
 //!
 //! The deterministic counters (instructions, words allocated, #GC, bytes
-//! copied) are bit-identical across runs, machines *and configurations* —
-//! the driver asserts this, which is the dispatch-equivalence acceptance
-//! criterion. `instructions_per_sec` is the wall-clock throughput of the
-//! abstract machine (best of `--samples N` runs, default 3) and is the
-//! number PRs optimizing the interpreter hot path are judged by.
+//! copied, peak bytes) are bit-identical across runs, machines *and
+//! configurations* — the driver asserts this, which is the
+//! dispatch-equivalence acceptance criterion. `instructions_per_sec` is
+//! the wall-clock throughput of the abstract machine (best of
+//! `--samples N` runs, default 3) and is the number PRs optimizing the
+//! interpreter hot path are judged by.
 //!
 //! Usage: `cargo run -p kit-bench --release --bin bench-summary --
 //!         [--full] [--samples N] [--out PATH] [--jobs N]
 //!         [--only prog,prog,...] [--modes r,rt,...]
-//!         [--dispatch match|threaded|register|register_fused]
+//!         [--dispatch match|threaded|register_fused]
 //!         [--fusion off|hand|full]
 //!         [--gc-compare] [--profile-fusion]`
 //!
@@ -35,22 +34,20 @@
 //!
 //! `--gc-compare` switches the comparison axis from dispatch engines to
 //! *collector modes*: each (program, mode) cell runs under the serial
-//! collector (`gc_serial`), the parallel collector with four workers
-//! (`gc_par4`), and the sliced bounded-pause collector (`gc_sliced`),
-//! all on the fastest dispatch engine. Every row reports `gc_time_ns`
-//! and the pause quantiles (p50/p99/max from the runtime's log2 pause
-//! histogram), taken as a coherent set from the sample with the least
-//! collector time — the same best-of-N filter throughput gets — so the
-//! JSON answers the two acceptance questions
-//! directly: how much collection time the parallel flip saves, and how
-//! far below the serial max pause the sliced p99 sits. Mutator-visible
+//! collector (`gc_serial`) and the sliced bounded-pause collector
+//! (`gc_sliced`), both on the fastest dispatch engine. Every row reports
+//! `gc_time_ns` and the pause quantiles (p50/p99/max from the runtime's
+//! log2 pause histogram), taken as a coherent set from the sample with
+//! the least collector time — the same best-of-N filter throughput gets
+//! — so the JSON answers directly how far below the serial max pause
+//! the sliced p99 sits. Mutator-visible
 //! counters (instructions, words allocated, the result) are asserted
 //! identical across collector modes; the GC counters themselves differ
 //! by design, since the schedule is mode-dependent. Modes default to
 //! `rgt` (collector modes only matter when the collector runs).
 //!
 //! A note on the `peak_pages`/`peak_bytes` columns: since PR 6 the heap
-//! materializes pages lazily (DESIGN.md §6g/§6h), and these counters
+//! materializes pages lazily (DESIGN.md §6h), and these counters
 //! measure **materialized backing only** — virgin pages granted by the
 //! sizing policy but never touched are not counted. BENCH_PR4.json and
 //! earlier predate that change, so their peak columns read higher than
@@ -84,15 +81,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// One interpreter configuration under measurement. `gc_workers` and
-/// `gc_slice` select the collector mode (serial / parallel / sliced);
-/// the dispatch-engine comparison leaves both at the serial defaults.
+/// One interpreter configuration under measurement. `gc_slice` selects
+/// the collector mode (serial / sliced); the dispatch-engine comparison
+/// leaves it at the serial default.
 #[derive(Clone, Copy)]
 struct Config {
     name: &'static str,
     dispatch: DispatchMode,
     fusion: Fusion,
-    gc_workers: usize,
     gc_slice: Option<u64>,
 }
 
@@ -102,42 +98,31 @@ impl Config {
             name,
             dispatch,
             fusion,
-            gc_workers: 1,
             gc_slice: None,
         }
     }
 }
 
-const COMPARE: [Config; 4] = [
+const COMPARE: [Config; 3] = [
     Config::dispatch_cmp("match_hand", DispatchMode::Match, Fusion::Hand),
     Config::dispatch_cmp("threaded_full", DispatchMode::Threaded, Fusion::Full),
-    Config::dispatch_cmp("register", DispatchMode::Register, Fusion::Off),
     Config::dispatch_cmp("register_fused", DispatchMode::RegisterFused, Fusion::Off),
 ];
 
-/// The collector-mode comparison (`--gc-compare`): serial vs the
-/// parallel flip (4 workers) vs the sliced bounded-pause collector, all
-/// on the fastest dispatch engine so collection time dominates the A/B.
-const GC_COMPARE: [Config; 3] = [
+/// The collector-mode comparison (`--gc-compare`): serial vs the sliced
+/// bounded-pause collector, both on the fastest dispatch engine so
+/// collection time dominates the A/B.
+const GC_COMPARE: [Config; 2] = [
     Config {
         name: "gc_serial",
         dispatch: DispatchMode::RegisterFused,
         fusion: Fusion::Off,
-        gc_workers: 1,
-        gc_slice: None,
-    },
-    Config {
-        name: "gc_par4",
-        dispatch: DispatchMode::RegisterFused,
-        fusion: Fusion::Off,
-        gc_workers: 4,
         gc_slice: None,
     },
     Config {
         name: "gc_sliced",
         dispatch: DispatchMode::RegisterFused,
         fusion: Fusion::Off,
-        gc_workers: 1,
         gc_slice: Some(4096),
     },
 ];
@@ -203,9 +188,8 @@ fn main() {
     let dispatch = flag_val("--dispatch").map(|s| match s.as_str() {
         "match" => DispatchMode::Match,
         "threaded" => DispatchMode::Threaded,
-        "register" => DispatchMode::Register,
         "register_fused" => DispatchMode::RegisterFused,
-        other => panic!("--dispatch {other}: expected match|threaded|register|register_fused"),
+        other => panic!("--dispatch {other}: expected match|threaded|register_fused"),
     });
     let fusion = flag_val("--fusion").map(|s| match s.as_str() {
         "off" => Fusion::Off,
@@ -248,7 +232,6 @@ fn main() {
             name: "pinned",
             dispatch: dispatch.unwrap_or_default(),
             fusion: fusion.unwrap_or_default(),
-            gc_workers: 1,
             gc_slice: None,
         }]
     } else {
@@ -340,9 +323,8 @@ fn run_cell(cell: &Cell, configs: &[Config], samples: usize, gc_compare: bool) -
             let mut compiler = Compiler::new(cell.mode)
                 .with_dispatch(c.dispatch)
                 .with_fusion(c.fusion);
-            if c.gc_workers != 1 || c.gc_slice.is_some() {
+            if c.gc_slice.is_some() {
                 compiler = compiler.with_config(RtConfig {
-                    gc_workers: c.gc_workers,
                     gc_slice_budget_words: c.gc_slice,
                     ..RtConfig::default()
                 });
@@ -404,13 +386,15 @@ fn run_cell(cell: &Cell, configs: &[Config], samples: usize, gc_compare: bool) -
                     o.instructions,
                     o.stats.words_allocated,
                     o.stats.gc_count,
-                    o.stats.gc_copied_words
+                    o.stats.gc_copied_words,
+                    o.stats.peak_bytes
                 ),
                 (
                     outs[0].instructions,
                     outs[0].stats.words_allocated,
                     outs[0].stats.gc_count,
-                    outs[0].stats.gc_copied_words
+                    outs[0].stats.gc_copied_words,
+                    outs[0].stats.peak_bytes
                 ),
                 "{} [{}]: config {} diverges from {}",
                 cell.bench.name,
@@ -487,9 +471,8 @@ fn serve_summary(args: &[String]) {
     let dispatch = flag_val("--dispatch").map_or(DispatchMode::default(), |s| match s.as_str() {
         "match" => DispatchMode::Match,
         "threaded" => DispatchMode::Threaded,
-        "register" => DispatchMode::Register,
         "register_fused" => DispatchMode::RegisterFused,
-        other => panic!("--dispatch {other}: expected match|threaded|register|register_fused"),
+        other => panic!("--dispatch {other}: expected match|threaded|register_fused"),
     });
     let mix = parse_mix(
         flag_val("--mix").map_or(DEFAULT_MIX, String::as_str),

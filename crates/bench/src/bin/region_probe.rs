@@ -1,6 +1,6 @@
 //! Diagnostic probe for one benchmark: peak words by region (default),
 //! or — with a leading `gc` argument — a quick collector A/B over
-//! worker counts {1, 2, 4, 8} printing #GC, collection time, bytes
+//! heap-to-live ratios {3, 6, 9} printing #GC, collection time, bytes
 //! copied, max pause and wall time.
 //!
 //! Usage: `cargo run -p kit-bench --release --bin region_probe --
@@ -42,9 +42,9 @@ fn gc_ab(args: &[String]) {
     let b = by_name(&name).unwrap();
     let scale = if scale == 0 { b.default_scale } else { scale };
     let src = b.source_scaled(scale);
-    for workers in [1usize, 2, 4, 8] {
+    for ratio in [3.0, 6.0, 9.0] {
         let cfg = RtConfig {
-            gc_workers: workers,
+            heap_to_live_ratio: ratio,
             ..RtConfig::default()
         };
         let c = Compiler::new(Mode::Rgt)
@@ -53,7 +53,7 @@ fn gc_ab(args: &[String]) {
             .with_config(cfg);
         let out = c.run_source(&src).unwrap();
         println!(
-            "workers={workers}: #GC {:<3} gc {:>8.3}ms  copied {:>10}B  \
+            "ratio={ratio}: #GC {:<3} gc {:>8.3}ms  copied {:>10}B  \
              max pause {:>8.3}ms  wall {:>8.3}ms",
             out.stats.gc_count,
             out.stats.gc_time_ns as f64 / 1e6,

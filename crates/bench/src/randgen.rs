@@ -33,12 +33,8 @@ use kit_runtime::RtConfig;
 
 /// The engines checked against the `Match` reference. Every generated
 /// program must behave identically — result, output, instruction total,
-/// and GC/alloc statistics — under all four dispatch modes.
-pub const DIFF_ENGINES: [DispatchMode; 3] = [
-    DispatchMode::Threaded,
-    DispatchMode::Register,
-    DispatchMode::RegisterFused,
-];
+/// and GC/alloc statistics — under all three dispatch modes.
+pub const DIFF_ENGINES: [DispatchMode; 2] = [DispatchMode::Threaded, DispatchMode::RegisterFused];
 
 /// Which grammar [`program`] draws from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1211,22 +1207,11 @@ pub fn fuzz_config(rng: &mut SplitMix64, mode: Mode) -> RtConfig {
             major_growth: 2 + rng.below(3) as usize,
         });
     } else {
-        // Collector-mode fuzzing. The four scheduling shapes are drawn
-        // as *arms* rather than independently, so the parallel+sliced
-        // combination — where the documented slice-over-workers
-        // precedence (config.rs) must kick in — is exercised every few
-        // cases instead of only when two independent draws coincide.
-        // Every shape must leave the counters the differential compares
+        // Collector-mode fuzzing: serial or sliced, each half the time.
+        // Either shape must leave the counters the differential compares
         // engine-invariant.
-        match rng.below(8) {
-            0..=2 => {} // serial, unsliced
-            3 | 4 => cfg.gc_workers = [2, 4][rng.below(2) as usize],
-            5 => cfg.gc_slice_budget_words = Some([32, 256][rng.below(2) as usize]),
-            _ => {
-                // Both axes set: slices must win and run serially.
-                cfg.gc_workers = [2, 4][rng.below(2) as usize];
-                cfg.gc_slice_budget_words = Some([32, 256][rng.below(2) as usize]);
-            }
+        if rng.below(2) == 1 {
+            cfg.gc_slice_budget_words = Some([32, 256][rng.below(2) as usize]);
         }
     }
     // Wall-clock deadlines are drawn only at the two differential-safe
@@ -1305,12 +1290,11 @@ pub fn differential(
             format!(
                 "{mode} {dispatch:?} (cfg: {}) on\n{src}",
                 cfg.map_or("default".to_string(), |c| format!(
-                    "pages=2^{} init={} shrink={:?} gen={} workers={} slice={:?}",
+                    "pages=2^{} init={} shrink={:?} gen={} slice={:?}",
                     c.page_words_log2,
                     c.initial_pages,
                     c.heap_shrink_factor,
                     c.generational.is_some(),
-                    c.gc_workers,
                     c.gc_slice_budget_words
                 ))
             )
@@ -1338,8 +1322,8 @@ pub fn differential(
 /// and compares the *mutator-visible* outcome: result, output,
 /// instruction total, and words allocated. The GC counters are
 /// deliberately excluded — the collection schedule is config-dependent
-/// (a parallel flip copies the same objects on a different worker, a
-/// sliced collection finishes at a later safe point), but none of that
+/// (a sliced collection finishes at a later safe point, a wider heap
+/// collects less often), but none of that
 /// may ever leak into what the program computes.
 ///
 /// # Errors
@@ -1403,63 +1387,5 @@ mod tests {
                 panic!("case {case} does not compile: {e}\n{src}");
             }
         }
-    }
-
-    /// The documented precedence (config.rs): when both `gc_workers > 1`
-    /// and a slice budget are set, the sliced collector runs — serially.
-    /// The run must be bit-identical to the same config with the worker
-    /// count at 1, and must actually take the sliced path (`gc_slices`).
-    #[test]
-    fn slice_budget_takes_precedence_over_workers() {
-        let src = "fun build 0 = nil | build n = (n, n * 7) :: build (n - 1)\n\
-                   fun sum ([], a) = a | sum ((x, y) :: t, a) = sum (t, a + x + y)\n\
-                   fun go (0, a) = a | go (k, a) = go (k - 1, (a + sum (build 120, 0)) mod 65521)\n\
-                   val it = go (40, 0)";
-        let base = RtConfig {
-            initial_pages: 4,
-            page_words_log2: 6,
-            gc_slice_budget_words: Some(64),
-            ..RtConfig::rgt()
-        };
-        let both = RtConfig {
-            gc_workers: 4,
-            ..base.clone()
-        };
-        let run = |cfg: &RtConfig| {
-            Compiler::new(Mode::Rgt)
-                .with_config(cfg.clone())
-                .run_source(src)
-                .unwrap()
-        };
-        let want = run(&base);
-        let got = run(&both);
-        assert!(
-            got.stats.gc_slices > 0,
-            "sliced collector did not run under workers=4 + slice budget"
-        );
-        assert_eq!(want.result, got.result);
-        assert_eq!(want.instructions, got.instructions);
-        assert_eq!(want.stats.gc_count, got.stats.gc_count);
-        assert_eq!(want.stats.gc_slices, got.stats.gc_slices);
-        assert_eq!(want.stats.gc_copied_words, got.stats.gc_copied_words);
-        assert_eq!(want.stats.peak_bytes, got.stats.peak_bytes);
-    }
-
-    /// The deliberate parallel+sliced arm of `fuzz_config` must actually
-    /// come up, for every non-baseline mode.
-    #[test]
-    fn fuzz_config_draws_workers_combined_with_slices() {
-        let mut rng = SplitMix64::new(1);
-        let mut combined = 0;
-        for _ in 0..200 {
-            let cfg = fuzz_config(&mut rng, Mode::Rgt);
-            if cfg.gc_workers > 1 && cfg.gc_slice_budget_words.is_some() {
-                combined += 1;
-            }
-        }
-        assert!(
-            combined >= 20,
-            "parallel+sliced combination drawn only {combined}/200 times"
-        );
     }
 }

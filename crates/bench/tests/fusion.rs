@@ -30,12 +30,10 @@ fn check_all_benchmarks() {
         (DispatchMode::Threaded, Fusion::Off),
         (DispatchMode::Threaded, Fusion::Hand),
         (DispatchMode::Threaded, Fusion::Full),
-        // The register engines link with fusion off internally; the
-        // fusion setting must be observationally irrelevant to them.
-        (DispatchMode::Register, Fusion::Off),
-        (DispatchMode::Register, Fusion::Full),
-        // Cross-block regalloc + re-fused register stream: cost merging in
-        // `register::fuse` must keep fuel and the GC schedule identical.
+        // Cross-block regalloc + re-fused register stream: the engine
+        // links with fusion off internally, so the fusion setting must be
+        // observationally irrelevant, and cost merging in `register::fuse`
+        // must keep fuel and the GC schedule identical.
         (DispatchMode::RegisterFused, Fusion::Off),
         (DispatchMode::RegisterFused, Fusion::Full),
     ];

@@ -33,7 +33,7 @@ const FACTORS: [Option<f64>; 7] = [
 
 fn run(src: &str, mode: Mode, cfg: RtConfig) -> kit::Outcome {
     Compiler::new(mode)
-        .with_dispatch(DispatchMode::Register)
+        .with_dispatch(DispatchMode::RegisterFused)
         .with_fusion(Fusion::Full)
         .with_fuel(200_000_000)
         .with_config(cfg)

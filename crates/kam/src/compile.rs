@@ -712,10 +712,20 @@ impl Cx<'_> {
             RExp::Handle { body, var, handler } => {
                 let lh = self.new_label();
                 let end = self.new_label();
-                self.emit(Instr::PushHandler { handler: lh });
+                let push = self.code.len();
+                let first = fcx.nlocals;
+                self.emit(Instr::PushHandler {
+                    handler: lh,
+                    body_slots: (first, first),
+                });
                 fcx.cleanup += 1;
                 self.comp(body, fcx, false);
                 fcx.cleanup -= 1;
+                // Slots are never reused within a function, so the body
+                // bound exactly the slots allocated while compiling it.
+                if let Instr::PushHandler { body_slots, .. } = &mut self.code[push] {
+                    body_slots.1 = fcx.nlocals;
+                }
                 self.emit(Instr::PopHandler);
                 self.emit(Instr::Jump(end));
                 self.bind(lh);

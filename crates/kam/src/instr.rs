@@ -178,6 +178,10 @@ pub enum Instr {
     PushHandler {
         /// Handler entry.
         handler: Label,
+        /// Half-open range of the frame's local slots bound inside the
+        /// protected body. They are dead once the handler catches and are
+        /// cleared then (see `Vm::do_raise`).
+        body_slots: (u32, u32),
     },
     /// Remove the most recent handler.
     PopHandler,

@@ -127,6 +127,7 @@ pub enum LInstr {
     EndRegions(u16),
     PushHandler {
         target: u32,
+        body_slots: (u32, u32),
     },
     PopHandler,
     MkExn {
@@ -757,8 +758,12 @@ fn link_one(prog: &Program, ins: &Instr, resolve: &dyn Fn(Label) -> u32) -> LIns
             names: names.clone().into_boxed_slice(),
         },
         Instr::EndRegions(n) => LInstr::EndRegions(*n),
-        Instr::PushHandler { handler } => LInstr::PushHandler {
+        Instr::PushHandler {
+            handler,
+            body_slots,
+        } => LInstr::PushHandler {
             target: resolve(*handler),
+            body_slots: *body_slots,
         },
         Instr::PopHandler => LInstr::PopHandler,
         Instr::MkExn { exn, has_arg, at } => LInstr::MkExn {

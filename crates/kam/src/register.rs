@@ -1,5 +1,4 @@
 //! Register-form code: the post-link translation behind
-//! [`DispatchMode::Register`](crate::vm::DispatchMode) and
 //! [`DispatchMode::RegisterFused`](crate::vm::DispatchMode).
 //!
 //! [`translate`] rewrites an *unfused* [`LinkedProgram`] into a
@@ -140,7 +139,7 @@ pub fn translate(linked: &LinkedProgram) -> RegCode {
     }
     for ins in &linked.code {
         match ins {
-            LInstr::PushHandler { target } => flow.pin_empty(*target),
+            LInstr::PushHandler { target, .. } => flow.pin_empty(*target),
             LInstr::SwitchInt { arms, default } => {
                 for &(_, t) in arms.iter() {
                     flow.pin_empty(t);
@@ -649,21 +648,19 @@ mod tests {
 
     #[test]
     fn register_engine_matches_stack_engine() {
-        for dispatch in [DispatchMode::Register, DispatchMode::RegisterFused] {
-            for src in [FIB, GUARDED_LOOP] {
-                let prog = compile(src);
-                let m = crate::vm::Vm::new(&prog, Rt::new(RtConfig::default()))
-                    .run()
-                    .expect("match engine");
-                let r = crate::vm::Vm::new(&prog, Rt::new(RtConfig::default()))
-                    .with_dispatch(dispatch)
-                    .run()
-                    .expect("register engine");
-                assert_eq!(m.result, r.result);
-                assert_eq!(m.instructions, r.instructions);
-                assert_eq!(m.stats.gc_count, r.stats.gc_count);
-                assert_eq!(m.stats.words_allocated, r.stats.words_allocated);
-            }
+        for src in [FIB, GUARDED_LOOP] {
+            let prog = compile(src);
+            let m = crate::vm::Vm::new(&prog, Rt::new(RtConfig::default()))
+                .run()
+                .expect("match engine");
+            let r = crate::vm::Vm::new(&prog, Rt::new(RtConfig::default()))
+                .with_dispatch(DispatchMode::RegisterFused)
+                .run()
+                .expect("register engine");
+            assert_eq!(m.result, r.result);
+            assert_eq!(m.instructions, r.instructions);
+            assert_eq!(m.stats.gc_count, r.stats.gc_count);
+            assert_eq!(m.stats.words_allocated, r.stats.words_allocated);
         }
     }
 

@@ -435,9 +435,9 @@ pub struct ThreadedCode {
 /// flag=disc, at}`, switches `{a=table}`, `Jump{t}`, `JumpIfFalse{t}`,
 /// `Prim{p, at}`, `RegHandle{at}`, `Call{a=fun, t, n=nargs, m=nformals,
 /// flag=tail}`, `CallClos{n, flag}`, `EnterViaPair{n}`, `LetRegion{a}`,
-/// `EndRegions{n}`, `PushHandler{t}`, `MkExn{a=exn, flag, at}`, and the
-/// superinstructions `LoadLoadPrim{a, b, p, at}`, `PushConstPrim{k, p,
-/// at}`, `LoadSelect{a, n}`, `StorePop{a}`, `PushConstJumpIfFalse{k, t}`,
+/// `EndRegions{n}`, `PushHandler{t, a..b=body slots}`, `MkExn{a=exn,
+/// flag, at}`, and the superinstructions `LoadLoadPrim{a, b, p, at}`,
+/// `PushConstPrim{k, p, at}`, `LoadSelect{a, n}`, `StorePop{a}`, `PushConstJumpIfFalse{k, t}`,
 /// `LoadConstPrim{a, k, p, at}`, `LoadSelectStore{a, n, m=j}`,
 /// `LoadLoadPrimJump{a, b, p, at, t}`, `LoadConstPrimJump{a, k, p, at,
 /// t}`, `StoreLoadSelect{a=j, b=i, n=sel}`, `LoadPrimJump{a, p, at, t}`,
@@ -575,7 +575,10 @@ impl ThreadedCode {
                 t.names.push(names);
             }
             LInstr::EndRegions(n) => x.n = n,
-            LInstr::PushHandler { target } => x.t = target,
+            LInstr::PushHandler { target, body_slots } => {
+                x.t = target;
+                (x.a, x.b) = body_slots;
+            }
             LInstr::MkExn { exn, has_arg, at } => {
                 x.a = exn;
                 x.flag = has_arg;
@@ -798,7 +801,10 @@ impl ThreadedCode {
                 names: self.names[x.a as usize].clone(),
             },
             Op::EndRegions => LInstr::EndRegions(x.n),
-            Op::PushHandler => LInstr::PushHandler { target: x.t },
+            Op::PushHandler => LInstr::PushHandler {
+                target: x.t,
+                body_slots: (x.a, x.b),
+            },
             Op::PopHandler => LInstr::PopHandler,
             Op::MkExn => LInstr::MkExn {
                 exn: x.a,

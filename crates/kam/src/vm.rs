@@ -107,7 +107,7 @@ impl fmt::Display for VmError {
 
 impl std::error::Error for VmError {}
 
-/// How [`Vm::run`] executes the linked stream. Both modes produce
+/// How [`Vm::run`] executes the linked stream. All modes produce
 /// bit-identical observable behavior — results, output, instruction
 /// totals, fuel, and the GC schedule (enforced by the dispatch
 /// equivalence test in `kit-bench`).
@@ -121,22 +121,16 @@ pub enum DispatchMode {
     #[default]
     Threaded,
     /// Register-form execution: the unfused linked stream is rewritten by
-    /// [`crate::regalloc`] into three-address ops over virtual registers
-    /// (the frame's local slots) and dispatched with the threaded
-    /// machinery. The fusion setting is ignored — the register translator
-    /// subsumes superinstruction fusion by folding operand producers into
-    /// their consumers directly. Each register op charges the stack
-    /// instructions it replaces (see [`crate::register::RegCode::costs`]),
-    /// so instruction totals, fuel and the GC schedule stay bit-identical
-    /// with the other engines.
-    Register,
-    /// Register-form execution with the profile-selected superinstruction
-    /// set stacked on top: after [`crate::register::translate`], a
-    /// re-fusion pass ([`crate::register::fuse`]) merges the base-op
-    /// windows the symbolic-stack pass could not absorb (flushed loads
-    /// before calls, entry safepoints, copies around barriers). Costs
-    /// merge additively, so all accounting invariants of `Register` hold
-    /// unchanged.
+    /// [`crate::register::translate`] into three-address ops over virtual
+    /// registers (the frame's local slots) and dispatched with the
+    /// threaded machinery; a re-fusion pass ([`crate::register::fuse`])
+    /// then stacks the profile-selected superinstruction set on top,
+    /// merging the base-op windows the symbolic-stack pass could not
+    /// absorb (flushed loads before calls, entry safepoints, copies around
+    /// barriers). The fusion setting is ignored. Each op charges the stack
+    /// instructions it replaces (see [`crate::register::RegCode::costs`];
+    /// fused costs merge additively), so instruction totals, fuel and the
+    /// GC schedule stay bit-identical with the other engines.
     RegisterFused,
 }
 
@@ -151,28 +145,24 @@ pub enum Executable {
     Match(LinkedProgram),
     /// Struct-of-arrays threaded form.
     Threaded(ThreadedCode),
-    /// Register form (covers both `Register` and `RegisterFused` —
-    /// re-fusion happens at preparation time).
+    /// Register form, re-fused at preparation time.
     Register(Box<crate::register::RegCode>),
 }
 
 impl Executable {
     /// Links `prog` and translates it for `dispatch`. The fusion setting
-    /// is overridden to `Off` for the register engines — the register
+    /// is overridden to `Off` for the register engine — the register
     /// translator consumes the unfused stream (it folds operand
     /// producers into consumers itself, subsuming fusion).
     pub fn prepare(prog: &Program, dispatch: DispatchMode, fusion: Fusion) -> Executable {
         let fusion = match dispatch {
-            DispatchMode::Register | DispatchMode::RegisterFused => Fusion::Off,
+            DispatchMode::RegisterFused => Fusion::Off,
             _ => fusion,
         };
         let linked = link::link(prog, fusion);
         match dispatch {
             DispatchMode::Match => Executable::Match(linked),
             DispatchMode::Threaded => Executable::Threaded(threaded::translate(linked)),
-            DispatchMode::Register => {
-                Executable::Register(Box::new(crate::register::translate(&linked)))
-            }
             DispatchMode::RegisterFused => Executable::Register(Box::new(crate::register::fuse(
                 crate::register::translate(&linked),
             ))),
@@ -216,6 +206,9 @@ struct Frame {
 struct Handler {
     target: usize, // linked code address
     frame_idx: usize,
+    /// Absolute stack range of the handler frame's locals bound inside the
+    /// protected body, cleared on catch.
+    body_slots: std::ops::Range<usize>,
     stack_len: usize,
     region_depth: usize,
     region_pool_len: usize,
@@ -778,10 +771,12 @@ impl<'p> Vm<'p> {
                         self.region_pool.pop();
                     }
                 }
-                LInstr::PushHandler { target } => {
+                LInstr::PushHandler { target, body_slots } => {
                     self.handlers.push(Handler {
                         target: *target as usize,
                         frame_idx: self.frames.len() - 1,
+                        body_slots: self.cur_locals + body_slots.0 as usize
+                            ..self.cur_locals + body_slots.1 as usize,
                         stack_len: self.rt.stack.len(),
                         region_depth: self.rt.region_depth(),
                         region_pool_len: self.region_pool.len(),
@@ -1312,6 +1307,11 @@ impl<'p> Vm<'p> {
         self.formal_pool.truncate(h.formal_pool_len);
         self.rt.stack.truncate(h.stack_len);
         self.rt.note_stack_trunc(h.stack_len);
+        // The body's bindings are dead, and the unwind may just have
+        // popped the regions they point into: clear them, as the normal
+        // path's scope ends would have, so no GC root dangles.
+        let null = if self.rt.config.tagged { scalar(0) } else { 0 };
+        self.rt.stack[h.body_slots].fill(null);
         self.push(exn_val);
         Some(h.target)
     }
@@ -2167,9 +2167,11 @@ fn h_end_regions(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
 }
 
 fn h_push_handler(vm: &mut Vm<'_>, t: &ThreadedCode, pc: u32) -> Control {
+    let x = args(t, pc);
     vm.handlers.push(Handler {
-        target: args(t, pc).t as usize,
+        target: x.t as usize,
         frame_idx: vm.frames.len() - 1,
+        body_slots: vm.cur_locals + x.a as usize..vm.cur_locals + x.b as usize,
         stack_len: vm.rt.stack.len(),
         region_depth: vm.rt.region_depth(),
         region_pool_len: vm.region_pool.len(),

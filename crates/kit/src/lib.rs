@@ -288,13 +288,12 @@ impl Compiler {
     }
 
     /// Selects the interpreter's dispatch engine: the classic match loop,
-    /// the direct-threaded handler table, the register-translated form
+    /// the direct-threaded handler table, or the register-fused form
     /// (stack bytecode rewritten to three-address ops post-link, with
-    /// cross-block register assignment), or the register-fused form
-    /// (the register stream re-fused with the profile-selected
-    /// superinstruction set). Observable behavior — results, output,
-    /// instruction totals, GC schedule and statistics — is identical
-    /// across all four.
+    /// cross-block register assignment, then re-fused with the
+    /// profile-selected superinstruction set). Observable behavior —
+    /// results, output, instruction totals, GC schedule and statistics —
+    /// is identical across all three.
     ///
     /// ```
     /// use kit::{Compiler, DispatchMode, Mode};
@@ -308,10 +307,7 @@ impl Compiler {
     ///         .unwrap()
     /// };
     /// let m = run(DispatchMode::Match);
-    /// let r = run(DispatchMode::Register);
     /// let rf = run(DispatchMode::RegisterFused);
-    /// assert_eq!(m.result, r.result);
-    /// assert_eq!(m.instructions, r.instructions);
     /// assert_eq!(m.result, rf.result);
     /// assert_eq!(m.instructions, rf.instructions);
     /// ```
@@ -504,7 +500,6 @@ mod tests {
         for dispatch in [
             DispatchMode::Match,
             DispatchMode::Threaded,
-            DispatchMode::Register,
             DispatchMode::RegisterFused,
         ] {
             let c = Compiler::new(Mode::Rgt).with_dispatch(dispatch);

@@ -8,10 +8,9 @@
 use kit::{Compiler, DispatchMode, Error, Mode, VmError};
 use std::time::{Duration, Instant};
 
-const ENGINES: [DispatchMode; 4] = [
+const ENGINES: [DispatchMode; 3] = [
     DispatchMode::Match,
     DispatchMode::Threaded,
-    DispatchMode::Register,
     DispatchMode::RegisterFused,
 ];
 

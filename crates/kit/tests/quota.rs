@@ -1,15 +1,14 @@
 //! Per-request quota enforcement (DESIGN.md §6i): fuel exhaustion and
 //! page-cap breaches return clean typed errors, identically across all
-//! four dispatch engines, and leave no state behind — repeated runs of
+//! three dispatch engines, and leave no state behind — repeated runs of
 //! one prepared program are bit-identical whether or not a capped run
 //! failed in between.
 
 use kit::{Compiler, DispatchMode, Error, Mode, VmError};
 
-const ENGINES: [DispatchMode; 4] = [
+const ENGINES: [DispatchMode; 3] = [
     DispatchMode::Match,
     DispatchMode::Threaded,
-    DispatchMode::Register,
     DispatchMode::RegisterFused,
 ];
 

@@ -20,7 +20,9 @@ pub struct RtConfig {
     /// fraction of the total region heap (paper §4: 1/3).
     pub gc_threshold: f64,
     /// After a collection the region heap is grown until it is at least
-    /// this multiple of the live (to-space) pages (paper §4: 3.0).
+    /// this multiple of the live (to-space) pages (paper §4: 3.0). This is
+    /// the space-time knob: a wider ratio means fewer collections, each
+    /// finding more garbage already dead (DESIGN.md §6g).
     pub heap_to_live_ratio: f64,
     /// Asymmetric heap sizing: growth to `heap_to_live_ratio × live` is
     /// immediate, but free pages are only released back to the allocator
@@ -38,16 +40,10 @@ pub struct RtConfig {
     /// Generational collection policy (the SML/NJ-substitute baseline);
     /// `None` selects the paper's Cheney-for-regions collector.
     pub generational: Option<GenPolicy>,
-    /// Number of collector threads for the Cheney-for-regions collector.
-    /// `1` (the default) runs the exact serial collector; `> 1` partitions
-    /// live regions across a deterministic worker pool (DESIGN.md §6g).
-    /// Ignored by the generational baseline and by sliced collection.
-    pub gc_workers: usize,
     /// Incremental collection: bound the scan work done per pause to this
     /// many words and resume the collection at subsequent `GcCheck` safe
     /// points. `None` (the default) collects in one stop-the-world pause.
-    /// Ignored by the generational baseline; takes precedence over
-    /// `gc_workers` (slices run serially).
+    /// Ignored by the generational baseline.
     pub gc_slice_budget_words: Option<u64>,
     /// Debugging: overwrite the payload of deallocated region pages with a
     /// poison pattern, so dangling-pointer dereferences fail loudly
@@ -152,7 +148,6 @@ impl RtConfig {
             large_object_words: 128,
             profile: false,
             generational: None,
-            gc_workers: 1,
             gc_slice_budget_words: None,
             poison: false,
             max_heap_pages: None,

@@ -181,9 +181,9 @@ impl Heap {
     /// the physical tail can be returned (pages are indices into one
     /// contiguous arena), so the shrink stops at the first in-use tail
     /// page. Two passes over the free-list regardless of how many pages
-    /// come off — a per-page rescan would be quadratic when the parallel
-    /// collector's pool reserve inflates the arena by tens of thousands
-    /// of pages and the policy releases them all at once.
+    /// come off — a per-page rescan would be quadratic when a large
+    /// heap-to-live ratio inflates the arena by tens of thousands of
+    /// pages and the policy releases them all at once.
     pub fn release_tail(&mut self, max: usize) -> usize {
         if max == 0 || self.total_pages <= 1 {
             return 0;
@@ -238,8 +238,8 @@ impl Heap {
         self.free_count -= released;
         self.total_pages -= released;
         self.words.truncate(self.total_pages * self.page_words);
-        // Capacity is deliberately kept: the parallel collector's headroom
-        // policy grows and shrinks the heap every collection, so freeing
+        // Capacity is deliberately kept: a wide heap-to-live ratio can
+        // grow and shrink the heap every collection, so freeing
         // the backing store here would turn each collection into an
         // munmap / refault / realloc-copy cycle. The arena keeps its
         // high-water backing and rematerializes pages for free.
@@ -263,8 +263,7 @@ impl Heap {
     /// no free page exists. The linked list is drained first; virgin
     /// pages then materialize bottom-up, one page's worth of storage at a
     /// time (`Vec` doubling amortizes the reallocations). Both orders
-    /// ascend, so `sorted` stays valid. The parallel collector uses this
-    /// to carve per-worker page pools before spawning.
+    /// ascend, so `sorted` stays valid.
     pub(crate) fn pop_free_page(&mut self) -> Option<u64> {
         if self.free_head != NONE_ADDR {
             let page = self.free_head;
@@ -289,15 +288,6 @@ impl Heap {
             return Some(base);
         }
         None
-    }
-
-    /// Pushes one page back onto the free-list head (the inverse of
-    /// [`Heap::pop_free_page`], for unused pool pages).
-    pub(crate) fn push_free_page(&mut self, page: u64) {
-        self.sorted = false;
-        self.write(page + PAGE_NEXT, self.free_head);
-        self.free_head = page;
-        self.free_count += 1;
     }
 }
 
@@ -416,19 +406,6 @@ mod tests {
         let mut sorted = pages.clone();
         sorted.sort_unstable();
         assert_eq!(pages, sorted);
-    }
-
-    #[test]
-    fn pop_and_push_free_pages_round_trip() {
-        let mut h = Heap::new(64, 4);
-        let before = h.free_pages();
-        let a = h.pop_free_page().unwrap();
-        let b = h.pop_free_page().unwrap();
-        assert_eq!(h.free_pages(), before - 2);
-        h.push_free_page(b);
-        h.push_free_page(a);
-        assert_eq!(h.free_pages(), before);
-        assert_eq!(h.pop_free_page(), Some(a), "LIFO restore");
     }
 
     #[test]

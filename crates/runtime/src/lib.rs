@@ -39,7 +39,6 @@
 
 pub mod config;
 pub mod gc;
-mod gc_par;
 pub mod gc_sliced;
 pub mod heap;
 pub mod lobj;

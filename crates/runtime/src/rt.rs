@@ -560,11 +560,10 @@ mod tests {
         Rt::new(RtConfig::rgt())
     }
 
-    /// Send audit: the parallel collector ([`crate::gc_par`]) hands `&mut
-    /// Rt` to scoped worker threads through a raw-pointer wrapper whose
-    /// `unsafe impl Send` is only sound if every piece of runtime state
-    /// is itself `Send` — no `Rc`, no thread-bound interior mutability.
-    /// This compiles (or doesn't); the assertions at runtime are free.
+    /// Send audit: the server runs each request's VM, and so its `Rt`, on
+    /// a pool worker thread, which needs every piece of runtime state to
+    /// be `Send` — no `Rc`, no thread-bound interior mutability. This
+    /// compiles (or doesn't); the assertions at runtime are free.
     #[test]
     fn runtime_state_is_send() {
         fn assert_send<T: Send>() {}

@@ -189,7 +189,6 @@ pub fn dispatch_byte(d: DispatchMode) -> u8 {
     match d {
         DispatchMode::Match => 0,
         DispatchMode::Threaded => 1,
-        DispatchMode::Register => 2,
         DispatchMode::RegisterFused => 3,
     }
 }
@@ -198,8 +197,9 @@ fn dispatch_of(b: u8) -> io::Result<DispatchMode> {
     Ok(match b {
         0 => DispatchMode::Match,
         1 => DispatchMode::Threaded,
-        2 => DispatchMode::Register,
-        3 => DispatchMode::RegisterFused,
+        // 2 named the retired unfused register engine; it decodes to its
+        // fused successor, which computes the same counters.
+        2 | 3 => DispatchMode::RegisterFused,
         other => return Err(bad(format!("unknown dispatch byte {other}"))),
     })
 }
@@ -424,6 +424,10 @@ mod tests {
         write_request(&mut buf, &req).unwrap();
         let back = read_request(&mut buf.as_slice()).unwrap();
         assert_eq!(req, back);
+        // Byte 2 (the retired unfused register engine) still decodes.
+        let mut payload = encode_request(&req);
+        payload[10] = 2;
+        assert_eq!(decode_request(&payload).unwrap(), req);
     }
 
     #[test]

@@ -350,7 +350,7 @@ fn rate_limited_tenant_gets_typed_refusals_with_retry_advice() {
 #[test]
 fn deadline_breach_is_typed_and_engine_identical_through_the_server() {
     // The same spinning program under the same wall-clock budget must
-    // fail with the same status and the same error text on all four
+    // fail with the same status and the same error text on all three
     // dispatch engines — deadlines surface at the shared safe points,
     // not at engine-specific places.
     let handle = start(2);
@@ -359,7 +359,6 @@ fn deadline_breach_is_typed_and_engine_identical_through_the_server() {
     for dispatch in [
         DispatchMode::Match,
         DispatchMode::Threaded,
-        DispatchMode::Register,
         DispatchMode::RegisterFused,
     ] {
         let resp = client
@@ -388,7 +387,7 @@ fn deadline_breach_is_typed_and_engine_identical_through_the_server() {
         );
     }
     let (_, _, deadline_exceeded, ..) = handle.overload_stats();
-    assert_eq!(deadline_exceeded, 4);
+    assert_eq!(deadline_exceeded, outcomes.len() as u64);
     handle.shutdown();
 }
 

@@ -17,30 +17,26 @@ cargo build --release
 echo "==> cargo test -q (workspace)"
 cargo test -q --workspace
 
-echo "==> 4-way engine equivalence: fusion differential (release)"
+echo "==> 3-way engine equivalence: fusion differential (release)"
 cargo test --release -p kit-bench --test fusion -q
 
-echo "==> 4-way engine equivalence: randomized differential (release)"
+echo "==> 3-way engine equivalence: randomized differential (release)"
 cargo test --release -p kit-bench --test randomized -q
 
-echo "==> collector equivalence: parallel + sliced GC tests (release)"
+echo "==> collector tests: serial + sliced GC (release)"
 cargo test --release -p kit-runtime -q gc
 
 echo "==> soak: short config-fuzzing run (all modes, all engines;"
-echo "    gc_workers fuzzed over {1,2,4}, slice budget fuzzed on/off)"
+echo "    collector fuzzed serial or sliced)"
 cargo run --release -p kit-bench --bin soak -- --cases 25 --seed 0x5EED0400
-
-echo "==> soak: parallel collector pinned (gc_workers=4)"
-cargo run --release -p kit-bench --bin soak -- \
-    --cases 15 --seed 0x5EED0600 --gc-workers 4
 
 echo "==> soak: full-surface generator (datatypes, arrays past the"
 echo "    large-object threshold, strings, reals, refs, nested handlers;"
-echo "    all modes, all engines, fuzzed workers/slice incl. combined)"
+echo "    all modes, all engines, collector fuzzed serial or sliced)"
 cargo run --release -p kit-bench --bin soak -- \
     --cases 25 --seed 0x5EED0800 --surface full
 
-echo "==> bench-summary smoke run (2 programs, all four engines)"
+echo "==> bench-summary smoke run (2 programs, all three engines)"
 cargo run --release -p kit-bench --bin bench-summary -- \
     --only fib,tak --modes r --samples 1 --out /tmp/bench_smoke.json
 rm -f /tmp/bench_smoke.json
