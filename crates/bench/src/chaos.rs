@@ -60,19 +60,10 @@ fn victim_request(req_id: u64) -> Request {
 /// (the adversaries legitimately submit it during the chaos window).
 pub fn prime(addr: SocketAddr) -> std::io::Result<()> {
     let mut s = TcpStream::connect(addr)?;
+    s.set_nodelay(true)?;
     wire::write_request(&mut s, &victim_request(0))?;
-    s.flush()?;
     wire::read_response(&mut s)?;
     Ok(())
-}
-
-/// One valid encoded frame (length prefix + payload) for byte-dribbling.
-fn framed_request(req_id: u64) -> Vec<u8> {
-    let payload = wire::encode_request(&victim_request(req_id));
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    framed.extend_from_slice(&payload);
-    framed
 }
 
 fn slowloris(addr: SocketAddr, until: Instant, report: &mut ChaosReport) {
@@ -81,7 +72,7 @@ fn slowloris(addr: SocketAddr, until: Instant, report: &mut ChaosReport) {
             return;
         };
         report.slowloris += 1;
-        let frame = framed_request(1);
+        let frame = wire::frame_request(&victim_request(1));
         // One byte per tick: far below any sane frame budget. The write
         // starts failing once the server reaps us — that is the success
         // condition, not an error.
@@ -99,7 +90,7 @@ fn mid_frame_disconnect(addr: SocketAddr, until: Instant, report: &mut ChaosRepo
         let Ok(mut s) = TcpStream::connect(addr) else {
             return;
         };
-        let frame = framed_request(2);
+        let frame = wire::frame_request(&victim_request(2));
         // Promise the full frame, deliver half, vanish.
         let _ = s.write_all(&frame[..frame.len() / 2]);
         let _ = s.flush();
@@ -129,7 +120,7 @@ fn malformed_frames(addr: SocketAddr, until: Instant, report: &mut ChaosReport) 
             _ => {
                 // Truncated payload: length says N, deliver N-1, then a
                 // clean shutdown (EOF mid-frame).
-                let frame = framed_request(3);
+                let frame = wire::frame_request(&victim_request(3));
                 let _ = s.write_all(&frame[..frame.len() - 1]);
                 let _ = s.shutdown(Shutdown::Write);
             }

@@ -13,16 +13,17 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects to a running server.
+    /// Connects to a running server. The socket sets `TCP_NODELAY`:
+    /// each request is one whole frame, and Nagle would hold it behind
+    /// the server's delayed ACK of the previous one.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Ok(Client {
-            stream: TcpStream::connect(addr)?,
-            next_id: 1,
-        })
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client { stream, next_id: 1 })
     }
 
     /// Sends `req` and waits for its response.

@@ -35,7 +35,7 @@ use crate::wire::{self, Request, Response, Status};
 use kit::{Compiler, Error, PreparedProgram, VmError};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -172,8 +172,7 @@ impl ConnWriter {
             return;
         }
         let mut w = relock(self.stream.lock());
-        let r = wire::write_response(&mut *w, resp).and_then(|()| w.flush());
-        if r.is_err() {
+        if wire::write_response(&mut *w, resp).is_err() {
             self.dead.store(true, Ordering::Relaxed);
             let _ = w.shutdown(Shutdown::Both);
         }
@@ -234,7 +233,45 @@ impl Queue {
     }
 }
 
-type CacheKey = (u8, u8, String);
+/// The compile-once cache: successful compilations only, so a tenant
+/// retrying a bad program does not pin garbage in the cache. Programs
+/// are filed per `(mode, dispatch)` byte pair and then by source, so a
+/// lookup borrows the request's source; only an inserting miss copies it.
+#[derive(Default)]
+struct CompileCache {
+    programs: HashMap<(u8, u8), HashMap<String, Arc<PreparedProgram>>>,
+}
+
+impl CompileCache {
+    fn len(&self) -> usize {
+        self.programs.values().map(HashMap::len).sum()
+    }
+
+    fn get(&self, engine: (u8, u8), src: &str) -> Option<Arc<PreparedProgram>> {
+        self.programs.get(&engine)?.get(src).cloned()
+    }
+
+    /// Files `prep` unless the program is already cached (the first
+    /// insert wins, so racing compiles share one copy) or the cache
+    /// holds `cap` programs (bounded memory: the request keeps its
+    /// private copy). Returns the copy to run.
+    fn insert(
+        &mut self,
+        engine: (u8, u8),
+        src: &str,
+        prep: Arc<PreparedProgram>,
+        cap: usize,
+    ) -> Arc<PreparedProgram> {
+        if let Some(cached) = self.get(engine, src) {
+            return cached;
+        }
+        if self.len() < cap {
+            let programs = self.programs.entry(engine).or_default();
+            programs.insert(src.to_owned(), Arc::clone(&prep));
+        }
+        prep
+    }
+}
 
 struct Shared {
     config: ServerConfig,
@@ -243,9 +280,7 @@ struct Shared {
     /// Set by drain/shutdown: stop admitting and stop starting queued
     /// work. Workers finish their in-flight request and exit.
     shutdown: AtomicBool,
-    /// Compile-once cache: successful compilations only, so a tenant
-    /// retrying a bad program does not pin garbage in the cache.
-    cache: Mutex<HashMap<CacheKey, Arc<PreparedProgram>>>,
+    cache: Mutex<CompileCache>,
     workers: Vec<WorkerStats>,
     overload: OverloadStats,
     /// Token buckets, keyed like queue shares.
@@ -305,7 +340,7 @@ impl Server {
             queue: Mutex::new(Queue::default()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(CompileCache::default()),
             workers: (0..workers).map(|_| WorkerStats::default()).collect(),
             overload: OverloadStats::default(),
             buckets: Mutex::new(HashMap::new()),
@@ -633,6 +668,10 @@ fn read_frame_guarded(reader: &mut TcpStream, shared: &Shared, opened: Instant) 
 /// `BadRequest` response and closes the connection (framing is lost).
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     let peer = stream.peer_addr().ok();
+    // Every response is one whole frame, so Nagle has nothing to
+    // coalesce; left on, it holds a response behind the peer's delayed
+    // ACK of the previous one (DESIGN.md §6i).
+    let _ = stream.set_nodelay(true);
     let mut reader = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -962,29 +1001,17 @@ fn execute_inner(shared: &Shared, worker: u32, job: &Job) -> Response {
         compiler = compiler.with_deadline_at(deadline);
     }
 
-    let key: CacheKey = (
-        wire::mode_byte(req.mode),
-        wire::dispatch_byte(req.dispatch),
-        req.src.clone(),
-    );
-    let cached = relock(shared.cache.lock()).get(&key).cloned();
+    let engine = (wire::mode_byte(req.mode), wire::dispatch_byte(req.dispatch));
+    let cached = relock(shared.cache.lock()).get(engine, &req.src);
     let prep = match cached {
         Some(prep) => prep,
         None => match compiler.prepare_source(&req.src) {
-            Ok(prep) => {
-                let prep = Arc::new(prep);
-                // Two workers may race to compile the same program; the
-                // first insert wins so everyone shares one copy. A full
-                // cache is left alone (bounded memory) — the request
-                // still runs on its private copy.
-                let mut cache = relock(shared.cache.lock());
-                if cache.len() >= shared.config.compile_cache_cap && !cache.contains_key(&key) {
-                    drop(cache);
-                    prep
-                } else {
-                    Arc::clone(cache.entry(key).or_insert(prep))
-                }
-            }
+            Ok(prep) => relock(shared.cache.lock()).insert(
+                engine,
+                &req.src,
+                Arc::new(prep),
+                shared.config.compile_cache_cap,
+            ),
             Err(e) => {
                 return error_response(req.req_id, Status::CompileError, worker, e.to_string())
             }

@@ -6,6 +6,10 @@
 //! protocol is deliberately positional and versioned by a leading byte —
 //! a hand-rolled codec keeps the workspace std-only.
 //!
+//! Every writer here sends a whole frame with one `write_all`: a length
+//! prefix written on its own would leave as a separate segment, and the
+//! payload behind it would wait for that segment's acknowledgement.
+//!
 //! Requests carry a client-chosen `req_id` which the response echoes:
 //! one connection may pipeline many requests, and the worker pool
 //! completes them in whatever order scheduling produces.
@@ -268,15 +272,28 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Writes one frame (length prefix + payload).
+/// Writes one frame (length prefix + payload) with a single write, so
+/// the prefix never leaves as a segment of its own (DESIGN.md §6i).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)
+    w.write_all(&framed(payload.len(), |out| out.extend_from_slice(payload)))
 }
 
-/// Encodes a request into a frame payload.
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = Vec::with_capacity(51 + req.tenant.len() + req.src.len());
+/// Builds one whole frame: the length prefix is reserved up front and
+/// patched once `put` has appended the payload.
+fn framed(payload_hint: usize, put: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + payload_hint);
+    out.extend_from_slice(&[0; 4]);
+    put(&mut out);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    out
+}
+
+fn request_size(req: &Request) -> usize {
+    51 + req.tenant.len() + req.src.len()
+}
+
+fn put_request(out: &mut Vec<u8>, req: &Request) {
     out.push(VERSION);
     out.extend_from_slice(&req.req_id.to_le_bytes());
     out.push(mode_byte(req.mode));
@@ -284,9 +301,21 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
     out.extend_from_slice(&req.fuel.unwrap_or(0).to_le_bytes());
     out.extend_from_slice(&(req.max_heap_pages.unwrap_or(0) as u64).to_le_bytes());
     out.extend_from_slice(&req.deadline_ms.unwrap_or(0).to_le_bytes());
-    put_str(&mut out, &req.tenant);
-    put_str(&mut out, &req.src);
+    put_str(out, &req.tenant);
+    put_str(out, &req.src);
+}
+
+/// Encodes a request into a frame payload (no length prefix).
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    let mut out = Vec::with_capacity(request_size(req));
+    put_request(&mut out, req);
     out
+}
+
+/// Encodes a request as one whole frame (length prefix + payload): the
+/// bytes [`write_request`] sends.
+pub fn frame_request(req: &Request) -> Vec<u8> {
+    framed(request_size(req), |out| put_request(out, req))
 }
 
 /// Decodes a request frame payload.
@@ -331,9 +360,11 @@ pub fn decode_request(payload: &[u8]) -> io::Result<Request> {
     })
 }
 
-/// Encodes a response into a frame payload.
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut out = Vec::with_capacity(69 + resp.result.len() + resp.output.len());
+fn response_size(resp: &Response) -> usize {
+    69 + resp.result.len() + resp.output.len()
+}
+
+fn put_response(out: &mut Vec<u8>, resp: &Response) {
     out.extend_from_slice(&resp.req_id.to_le_bytes());
     out.push(resp.status.to_byte());
     out.extend_from_slice(&resp.worker.to_le_bytes());
@@ -344,8 +375,14 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
     out.extend_from_slice(&resp.gc_copied_words.to_le_bytes());
     out.extend_from_slice(&resp.gc_time_ns.to_le_bytes());
     out.extend_from_slice(&resp.peak_bytes.to_le_bytes());
-    put_str(&mut out, &resp.result);
-    put_str(&mut out, &resp.output);
+    put_str(out, &resp.result);
+    put_str(out, &resp.output);
+}
+
+/// Encodes a response into a frame payload (no length prefix).
+pub fn encode_response(resp: &Response) -> Vec<u8> {
+    let mut out = Vec::with_capacity(response_size(resp));
+    put_response(&mut out, resp);
     out
 }
 
@@ -384,9 +421,9 @@ pub fn decode_response(payload: &[u8]) -> io::Result<Response> {
     })
 }
 
-/// Writes a request as one frame.
+/// Writes a request as one frame, in one write.
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
-    write_frame(w, &encode_request(req))
+    w.write_all(&frame_request(req))
 }
 
 /// Reads a request frame.
@@ -394,9 +431,9 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Request> {
     decode_request(&read_frame(r)?)
 }
 
-/// Writes a response as one frame.
+/// Writes a response as one frame, in one write.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
-    write_frame(w, &encode_response(resp))
+    w.write_all(&framed(response_size(resp), |out| put_response(out, resp)))
 }
 
 /// Reads a response frame.
@@ -450,6 +487,75 @@ mod tests {
         write_response(&mut buf, &resp).unwrap();
         let back = read_response(&mut buf.as_slice()).unwrap();
         assert_eq!(resp, back);
+    }
+
+    /// A writer that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn len_prefixed(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn every_frame_is_one_write_of_unchanged_bytes() {
+        let req = Request {
+            req_id: 5,
+            mode: Mode::Rt,
+            dispatch: DispatchMode::Threaded,
+            fuel: None,
+            max_heap_pages: Some(3),
+            deadline_ms: None,
+            tenant: "t".to_string(),
+            src: "val it = 0".to_string(),
+        };
+        let mut w = CountingWriter::default();
+        write_request(&mut w, &req).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, len_prefixed(&encode_request(&req)));
+        assert_eq!(frame_request(&req), w.bytes);
+
+        let resp = Response {
+            req_id: 5,
+            status: Status::Ok,
+            worker: 0,
+            retry_after_ms: 0,
+            queue_depth: 2,
+            instructions: 16,
+            gc_count: 0,
+            gc_copied_words: 0,
+            gc_time_ns: 0,
+            peak_bytes: 4096,
+            result: "0".to_string(),
+            output: "hi\n".to_string(),
+        };
+        let mut w = CountingWriter::default();
+        write_response(&mut w, &resp).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, len_prefixed(&encode_response(&resp)));
+
+        let payload = encode_response(&resp);
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(w.bytes, len_prefixed(&payload));
     }
 
     #[test]

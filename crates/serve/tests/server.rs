@@ -3,8 +3,9 @@
 //! (a neighbour breaching its quota must not perturb anyone else), and
 //! the overload matrix — flood (bounded queue + typed `Overloaded`),
 //! rate limiting, wall-clock deadlines (engine-identical), graceful
-//! drain (zero dropped in-flight), and reader hygiene (idle/stall typed
-//! closes, mid-frame EOF reaping).
+//! drain (zero dropped in-flight), reader hygiene (idle/stall typed
+//! closes, mid-frame EOF reaping), and the transport (no delayed-ACK
+//! stall between sequential calls; split-write peers still served).
 
 use kit::{Compiler, DispatchMode, Mode};
 use kit_serve::server::{RateLimit, Server, ServerConfig, ShedPolicy};
@@ -184,6 +185,33 @@ fn program_cache_shares_one_compilation() {
     assert_eq!(report.per_program[0].requests, 64);
     assert_eq!(report.per_program[0].status, Status::Ok);
     assert_eq!(handle.cache_size(), 1);
+    // The same source under another engine is another entry.
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let resp = client
+        .call(Mode::Rgt, DispatchMode::Match, None, None, FIB)
+        .expect("call");
+    assert_eq!((resp.status, resp.result.as_str()), (Status::Ok, "233"));
+    assert_eq!(handle.cache_size(), 2);
+    handle.shutdown();
+
+    // A full cache inserts nothing more but still serves every miss.
+    let handle = start_with(ServerConfig {
+        workers: 1,
+        compile_cache_cap: 1,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for (src, want) in [
+        ("val it = 1", "1"),
+        ("val it = 2", "2"),
+        ("val it = 1", "1"),
+    ] {
+        let resp = client
+            .call(Mode::Rgt, DispatchMode::Threaded, None, None, src)
+            .expect("call");
+        assert_eq!((resp.status, resp.result.as_str()), (Status::Ok, want));
+        assert_eq!(handle.cache_size(), 1);
+    }
     handle.shutdown();
 }
 
@@ -512,5 +540,57 @@ fn slowloris_frame_gets_typed_close_and_mid_frame_eof_is_reaped_silently() {
         .expect("server still serves");
     assert_eq!(resp.status, Status::Ok);
     assert_eq!(resp.result, "7");
+    handle.shutdown();
+}
+
+// ------------------------------------------------------------ transport
+
+#[test]
+fn sequential_calls_are_not_stalled_by_delayed_acks() {
+    // A call-and-wait caller sends its next frame only once the previous
+    // answer is in. A frame written as prefix + payload on a Nagle socket
+    // holds the payload until the peer's delayed ACK (~40 ms on Linux)
+    // releases it, once per direction: 100 calls would take ~8 s.
+    let handle = start(1);
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let t0 = std::time::Instant::now();
+    for _ in 0..100 {
+        let resp = client
+            .call(Mode::Rgt, DispatchMode::Threaded, None, None, "val it = 0")
+            .expect("call");
+        assert_eq!(resp.status, Status::Ok);
+        assert_eq!(resp.result, "0");
+    }
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "100 sequential calls took {took:?}"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn split_frame_writes_are_still_served() {
+    // A peer that sends the length prefix and the payload as two writes
+    // gets the same answer: only the write side sends whole frames.
+    use std::io::Write;
+    let handle = start(1);
+    let mut s = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    let payload = kit_serve::wire::encode_request(&kit_serve::Request {
+        req_id: 4,
+        mode: Mode::Rgt,
+        dispatch: DispatchMode::Threaded,
+        fuel: None,
+        max_heap_pages: None,
+        deadline_ms: None,
+        tenant: String::new(),
+        src: "val it = 1 + 2".to_string(),
+    });
+    s.write_all(&(payload.len() as u32).to_le_bytes())
+        .expect("length prefix");
+    s.write_all(&payload).expect("payload");
+    let resp = kit_serve::wire::read_response(&mut s).expect("response");
+    assert_eq!((resp.req_id, resp.status), (4, Status::Ok));
+    assert_eq!(resp.result, "3");
     handle.shutdown();
 }

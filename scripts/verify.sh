@@ -57,10 +57,12 @@ cargo run --release -p kit-bench --bin loadgen -- \
     --sessions 64 --conns 8 --requests 512 --workers 4 \
     --mix 'fib:12,churn:10' --chaos --chaos-secs 3 --check
 
-echo "==> kit-serve flood + drain-under-load: 4x-capacity flood into a"
-echo "    tiny queue sheds typed Overloaded while executed work stays"
-echo "    bit-identical (serve test suite, release)"
+echo "==> kit-serve flood + drain-under-load + sequential latency:"
+echo "    4x-capacity flood into a tiny queue sheds typed Overloaded while"
+echo "    executed work stays bit-identical; 100 call-and-wait requests"
+echo "    finish without delayed-ACK stalls (serve test suite, release)"
 cargo test --release -p kit-serve -q flood
 cargo test --release -p kit-serve -q drain
+cargo test --release -p kit-serve -q sequential_calls
 
 echo "verify: OK"
